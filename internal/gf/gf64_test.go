@@ -25,9 +25,25 @@ func mulSlow(a, b uint64) uint64 {
 }
 
 func TestMulMatchesReference(t *testing.T) {
+	// Dense operands first: all-ones and single-lane masks give Mul's
+	// lane-split integer products their largest partial-product counts.
+	dense := []uint64{
+		^uint64(0), 1, 1 << 63, 0x1111111111111111, 0x2222222222222222,
+		0x4444444444444444, 0x8888888888888888, 0x7FFFFFFFFFFFFFFF,
+		0xFFFFFFFF00000000, 0x00000000FFFFFFFF, 0xAAAAAAAAAAAAAAAA,
+	}
+	var pairs [][2]uint64
+	for _, a := range dense {
+		for _, b := range dense {
+			pairs = append(pairs, [2]uint64{a, b})
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
-		a, b := rng.Uint64(), rng.Uint64()
+		pairs = append(pairs, [2]uint64{rng.Uint64(), rng.Uint64()})
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
 		if got, want := Mul(a, b), mulSlow(a, b); got != want {
 			t.Fatalf("Mul(%#x, %#x) = %#x, want %#x", a, b, got, want)
 		}
@@ -114,6 +130,21 @@ func TestInv(t *testing.T) {
 		}
 		if got := Mul(a, Inv(a)); got != 1 {
 			t.Fatalf("a * Inv(a) = %#x for a = %#x, want 1", got, a)
+		}
+	}
+}
+
+// TestInvMatchesPow checks the addition-chain Inv against the definitional
+// a^(2^64−2) by square-and-multiply.
+func TestInvMatchesPow(t *testing.T) {
+	cases := []uint64{0, 1, ^uint64(0)}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 100000; i++ {
+		cases = append(cases, rng.Uint64())
+	}
+	for _, a := range cases {
+		if got, want := Inv(a), Pow(a, ^uint64(0)-1); got != want {
+			t.Fatalf("Inv(%#x) = %#x, want Pow(a, 2^64-2) = %#x", a, got, want)
 		}
 	}
 }

@@ -70,21 +70,7 @@ func PolyMod(a, m Poly) Poly {
 	if len(m) == 0 {
 		panic("gf: PolyMod by zero polynomial")
 	}
-	r := PolyTrim(a).Clone()
-	dm := len(m) - 1
-	inv := Inv(m[dm])
-	for len(r)-1 >= dm && len(r) > 0 {
-		dr := len(r) - 1
-		q := Mul(r[dr], inv)
-		shift := dr - dm
-		for i, c := range m {
-			if c != 0 {
-				r[i+shift] ^= Mul(q, c)
-			}
-		}
-		r = PolyTrim(r)
-	}
-	return r
+	return divMod(PolyTrim(a).Clone(), m, nil)
 }
 
 // PolyDivExact returns a / m, discarding any remainder. It is used to peel
@@ -95,37 +81,61 @@ func PolyDivExact(a, m Poly) Poly {
 		panic("gf: PolyDivExact by zero polynomial")
 	}
 	r := PolyTrim(a).Clone()
-	dm := len(m) - 1
-	if len(r)-1 < dm {
+	if len(r) < len(m) {
 		return nil
 	}
-	inv := Inv(m[dm])
-	quo := make(Poly, len(r)-dm)
-	for len(r) > 0 && len(r)-1 >= dm {
-		dr := len(r) - 1
-		q := Mul(r[dr], inv)
+	quo := make(Poly, len(r)-len(m)+1)
+	divMod(r, m, quo)
+	return PolyTrim(quo)
+}
+
+// divMod reduces r modulo m in place and returns the trimmed remainder (a
+// prefix of r). m must be trimmed and nonzero. When quo is non-nil it
+// receives the quotient coefficients; it must hold len(r)-len(m)+1 of them.
+//
+// Every modulus of the root finder is monic, so that case skips the
+// leading-coefficient inversion and the quotient multiply: each quotient
+// digit is the current leading coefficient of r itself. The leading term of
+// r cancels by construction and is cleared without a product.
+func divMod(r, m, quo Poly) Poly {
+	r = PolyTrim(r)
+	dm := len(m) - 1
+	lead := m[dm]
+	var inv uint64
+	if lead != 1 {
+		inv = Inv(lead)
+	}
+	for dr := len(r) - 1; dr >= dm; dr = len(r) - 1 {
+		q := r[dr]
+		if lead != 1 {
+			q = Mul(q, inv)
+		}
 		shift := dr - dm
-		quo[shift] = q
-		for i, c := range m {
+		if quo != nil {
+			quo[shift] = q
+		}
+		r[dr] = 0
+		for i, c := range m[:dm] {
 			if c != 0 {
 				r[i+shift] ^= Mul(q, c)
 			}
 		}
 		r = PolyTrim(r)
 	}
-	return PolyTrim(quo)
+	return r
 }
 
 // PolyGCD returns the monic greatest common divisor of a and b.
 func PolyGCD(a, b Poly) Poly {
 	a, b = PolyTrim(a).Clone(), PolyTrim(b).Clone()
 	for len(b) > 0 {
-		a, b = b, PolyMod(a, b)
+		a, b = b, divMod(a, b, nil)
 	}
 	return PolyMonic(a)
 }
 
-// PolyMonic scales p so its leading coefficient is 1.
+// PolyMonic scales p so its leading coefficient is 1. A polynomial that is
+// already monic is returned as is, without an inversion.
 func PolyMonic(p Poly) Poly {
 	p = PolyTrim(p)
 	if len(p) == 0 {
@@ -178,5 +188,9 @@ func PolySqrMod(p, m Poly) Poly {
 			sq[2*i] = Sqr(c)
 		}
 	}
-	return PolyMod(sq, m)
+	m = PolyTrim(m)
+	if len(m) == 0 {
+		panic("gf: PolySqrMod by zero polynomial")
+	}
+	return divMod(sq, m, nil)
 }

@@ -1,12 +1,12 @@
 package gf
 
 // Table is a precomputed multiplier: the 8-bit window table of a fixed field
-// element α, built once and reused across many products α·b. Mul uses a
-// 4-bit window rebuilt on every call, which is the right trade-off for a
-// single product but wasteful wherever one multiplicand is fixed — above all
-// the Horner chains that evaluate power sums (α, α², …, α^2k) in
-// internal/rs, where a single Table amortizes the (larger, 256-entry) window
-// setup over the whole chain and halves the per-product window steps.
+// element α, built once and reused across many products α·b. Mul starts
+// every product from scratch, which is the right trade-off for a single
+// product; where one multiplicand is fixed over a long chain — above all the
+// Horner chains that evaluate power sums (α, α², …, α^2k) in internal/rs — a
+// single Table amortizes its 256-entry setup and each product is eight
+// table lookups.
 //
 // The zero value is the table of α = 0 (every product is 0).
 type Table struct {
@@ -14,8 +14,8 @@ type Table struct {
 	hi [256]uint64
 }
 
-// NewTable returns the precomputed multiplier for alpha. The break-even
-// point against Mul is a handful of products; below that, call Mul.
+// NewTable returns the precomputed multiplier for alpha. It pays off only
+// over a long chain of products; below that, call Mul.
 func NewTable(alpha uint64) Table {
 	var t Table
 	t.lo[1] = alpha

@@ -21,7 +21,7 @@ package rs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gf"
 )
@@ -150,38 +150,45 @@ func (s Sketch) Decode(budget int) ([]uint64, error) {
 	if s.IsZero() {
 		return nil, nil
 	}
-	locator := berlekampMassey(s[:2*budget])
+	// One scratch allocation serves Berlekamp–Massey's three registers and
+	// the re-encoding check.
+	syn := s[:2*budget]
+	regs := 3 * (len(syn) + 1)
+	work := make([]uint64, regs+len(s))
+	locator := berlekampMassey(syn, work[:regs])
 	t := locator.Deg()
 	if t == 0 || t > budget {
 		return nil, fmt.Errorf("%w: locator degree %d outside (0,%d]", ErrOverload, t, budget)
 	}
-	roots, ok := findRoots(locator)
-	if !ok || len(roots) != t {
+	// The roots of Λ(x) = Π(1 − α_e·x) are the inverses of the edge IDs, so
+	// its reversal x^t·Λ(1/x) = Π(x − α_e) has the IDs themselves as roots.
+	// Λ(0) = 1, so the reversal is already monic.
+	reversed := make(gf.Poly, t+1)
+	for i := range reversed {
+		reversed[i] = locator[t-i]
+	}
+	ids, ok := findRoots(reversed)
+	if !ok || len(ids) != t {
 		return nil, fmt.Errorf("%w: locator does not split into %d distinct nonzero roots", ErrOverload, t)
 	}
-	ids := make([]uint64, 0, t)
-	for _, r := range roots {
-		// Roots of the locator are the inverses of the edge IDs.
-		ids = append(ids, gf.Inv(r))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Re-encoding verification against the FULL syndrome vector: the
 	// decoded set must reproduce every stored power sum, not just the
 	// prefix that drove Berlekamp–Massey.
-	if !s.consistentWith(ids) {
+	if !s.consistentWith(ids, work[regs:]) {
 		return nil, fmt.Errorf("%w: re-encoding check failed for %d candidates", ErrOverload, len(ids))
 	}
 	return ids, nil
 }
 
-// consistentWith checks that ids re-encode exactly to s.
-func (s Sketch) consistentWith(ids []uint64) bool {
-	check := make(Sketch, len(s))
+// consistentWith checks that ids re-encode exactly to s, accumulating the
+// re-encoding in check (len(s) words, overwritten).
+func (s Sketch) consistentWith(ids []uint64, check []uint64) bool {
+	clear(check)
 	for _, id := range ids {
 		if id == 0 {
 			return false
 		}
-		check.AddEdge(id)
+		PowerSums(check, id)
 	}
 	for i := range s {
 		if check[i] != s[i] {
@@ -196,114 +203,155 @@ func (s Sketch) consistentWith(ids []uint64) bool {
 // (constant term 1) polynomial of minimal degree with
 // Σ_i Λ_i · S_{j-i} = 0 for all j > t. For syndromes that are power sums of
 // t ≤ len(syn)/2 distinct points, Λ's roots are the points' inverses.
-func berlekampMassey(syn []uint64) gf.Poly {
-	c := gf.Poly{1} // current connection polynomial
-	b := gf.Poly{1} // previous connection polynomial
-	var l int       // current LFSR length
-	var m = 1       // steps since last length change
-	var bDelta uint64 = 1
+//
+// regs is scratch for the three registers (current, previous and the copy
+// taken on a length change), at least 3·(len(syn)+1) words; the result
+// aliases it. deg Λ never exceeds the register length l ≤ len(syn), so no
+// update spills past len(syn)+1 coefficients.
+func berlekampMassey(syn []uint64, regs []uint64) gf.Poly {
+	size := len(syn) + 1
+	clear(regs[:3*size])
+	c := gf.Poly(regs[:size])         // current connection polynomial
+	b := gf.Poly(regs[size : 2*size]) // previous connection polynomial
+	tmp := gf.Poly(regs[2*size : 3*size])
+	c[0], b[0] = 1, 1
+	var l, bl int            // register lengths of c and b
+	var m = 1                // steps since last length change
+	var bDeltaInv uint64 = 1 // inverse of b's discrepancy
 	for n := 0; n < len(syn); n++ {
 		// Discrepancy d = S_n + Σ_{i=1..l} c_i S_{n-i}.
 		d := syn[n]
-		for i := 1; i <= l && i < len(c); i++ {
-			d ^= gf.Mul(c[i], syn[n-i])
+		for i := 1; i <= l; i++ {
+			if c[i] != 0 {
+				d ^= gf.Mul(c[i], syn[n-i])
+			}
 		}
 		if d == 0 {
 			m++
 			continue
 		}
-		coef := gf.Mul(d, gf.Inv(bDelta))
-		// c' = c - coef · x^m · b
-		shifted := make(gf.Poly, len(b)+m)
-		for i, bc := range b {
-			shifted[i+m] = gf.Mul(coef, bc)
+		coef := gf.Mul(d, bDeltaInv)
+		lengthChange := 2*l <= n
+		if lengthChange {
+			copy(tmp, c)
 		}
-		next := gf.PolyAdd(c, shifted)
-		if 2*l <= n {
-			b = c
-			bDelta = d
+		// c ← c − coef · x^m · b
+		for i, bc := range b[:bl+1] {
+			if bc != 0 {
+				c[i+m] ^= gf.Mul(coef, bc)
+			}
+		}
+		if lengthChange {
+			b, tmp = tmp, b
+			bl = l
+			bDeltaInv = gf.Inv(d)
 			l = n + 1 - l
 			m = 1
 		} else {
 			m++
 		}
-		c = next
 	}
-	return gf.PolyTrim(c)
+	return gf.PolyTrim(c[:l+1])
 }
+
+// splitScramble is the dense field element γ that scales the monomial basis
+// into findRoots' splitting directions γ·z^b (the 64-bit golden-ratio
+// constant; any element whose trace functional reads many bits would do).
+const splitScramble uint64 = 0x9E3779B97F4A7C15
 
 // findRoots returns all distinct roots of p in GF(2^64) via the Berlekamp
 // trace algorithm, reporting ok=false if p does not split into distinct
-// nonzero linear factors (which signals an inconsistent syndrome).
+// nonzero linear factors (which signals an inconsistent syndrome). The roots
+// come back sorted.
+//
+// Everything is computed modulo p once. The Frobenius table
+// frob[i] = x^(2^i) mod p (63 squarings) first decides splitting outright:
+// p divides x^(2^64) − x = Π_{a ∈ GF(2^64)} (x − a) exactly when it is a
+// product of distinct linear factors. For each basis element β the trace
+// map is then a linear combination of the table,
+//
+//	Tr(βx) mod p = Σ_{i<64} β^(2^i) · frob[i],
+//
+// and a pending factor q | p splits as gcd(q, Tr(βx) mod p), which equals
+// gcd(q, Tr(βx) mod q). Tr takes values in {0, 1} on the roots, and for
+// distinct roots some basis direction separates them, so the 64 basis
+// elements peel every factor down to degree one.
+//
+// The basis is β_b = γ·z^b (see splitScramble), not the monomials z^b.
+// Under this field's sparse modulus Tr(z^j) vanishes for every j < 64 but
+// 61 and 63, so Tr(z^b·r) reads only bits 61−b, 63−b and a few wrapped ones
+// of r: edge IDs, which pack two small preorders into the low bits of each
+// 32-bit word, split nothing in the first ~18 monomial directions. Scaling
+// by a dense γ keeps a basis — multiplication by γ ≠ 0 is invertible — and
+// makes each Tr(β_b·r) a parity of about half of r's bits.
 func findRoots(p gf.Poly) ([]uint64, bool) {
 	p = gf.PolyMonic(p)
-	if p.Deg() < 1 {
+	t := p.Deg()
+	if t < 1 {
 		return nil, false
 	}
-	// A locator with constant term 0 has root 0 ⇒ some edge ID would be
-	// "infinite"; invalid.
+	// A constant term 0 means root 0, which is not a valid edge ID.
 	if p[0] == 0 {
 		return nil, false
 	}
-	var roots []uint64
+	if t == 1 {
+		return []uint64{p[0]}, true // x + c has root c in characteristic two
+	}
+	frob := make([]gf.Poly, 64)
+	frob[0] = gf.Poly{0, 1} // x mod p, as t ≥ 2
+	for i := 1; i < 64; i++ {
+		frob[i] = gf.PolySqrMod(frob[i-1], p)
+	}
+	if xq := gf.PolySqrMod(frob[63], p); len(xq) != 2 || xq[0] != 0 || xq[1] != 1 {
+		// x^(2^64) ≢ x (mod p): a repeated root or an irreducible factor
+		// of degree ≥ 2, i.e. roots outside GF(2^64).
+		return nil, false
+	}
+	roots := make([]uint64, 0, t)
 	pending := []gf.Poly{p}
+	var next []gf.Poly
+	tr := make(gf.Poly, t)
 	for basis := 0; basis < 64 && len(pending) > 0; basis++ {
-		beta := uint64(1) << uint(basis)
-		var next []gf.Poly
-		for _, q := range pending {
-			if q.Deg() == 1 {
-				roots = append(roots, rootOfLinear(q))
-				continue
+		clear(tr)
+		beta := gf.Mul(splitScramble, uint64(1)<<uint(basis))
+		for _, f := range frob {
+			for j, c := range f {
+				if c != 0 {
+					tr[j] ^= gf.Mul(beta, c)
+				}
 			}
-			tr := traceMap(beta, q)
+			beta = gf.Sqr(beta)
+		}
+		next = next[:0]
+		for _, q := range pending {
 			d := gf.PolyGCD(q, tr)
 			if d.Deg() <= 0 || d.Deg() >= q.Deg() {
 				// This basis element does not split q; try the next.
 				next = append(next, q)
 				continue
 			}
-			rest := gf.PolyMonic(gf.PolyDivExact(q, d))
-			next = append(next, d, rest)
+			for _, f := range [2]gf.Poly{d, gf.PolyDivExact(q, d)} {
+				if f.Deg() == 1 {
+					roots = append(roots, f[0])
+				} else {
+					next = append(next, f)
+				}
+			}
 		}
-		pending = next
+		pending, next = next, pending
 	}
-	for _, q := range pending {
-		if q.Deg() == 1 {
-			roots = append(roots, rootOfLinear(q))
-		} else {
-			// Irreducible factor of degree ≥ 2 survived all 64 basis
-			// elements: p has roots outside GF(2^64) ⇒ not a valid
-			// locator of field elements.
-			return nil, false
-		}
+	if len(pending) > 0 {
+		// A factor of degree ≥ 2 survived all 64 basis elements: p has
+		// roots outside GF(2^64) ⇒ not a valid locator of field elements.
+		return nil, false
 	}
 	// Distinctness: a repeated root would mean a repeated edge ID, which
 	// cannot arise from a set.
-	seen := make(map[uint64]bool, len(roots))
-	for _, r := range roots {
-		if r == 0 || seen[r] {
+	slices.Sort(roots)
+	for i, r := range roots {
+		if r == 0 || (i > 0 && r == roots[i-1]) {
 			return nil, false
 		}
-		seen[r] = true
 	}
 	return roots, true
-}
-
-// rootOfLinear returns the root of the monic linear polynomial x + c.
-func rootOfLinear(q gf.Poly) uint64 {
-	q = gf.PolyMonic(q)
-	return q[0] // x + c has root c in characteristic two
-}
-
-// traceMap computes Tr(βx) mod q = Σ_{i=0}^{63} (βx)^{2^i} mod q. Its roots
-// within a factor separate elements by their GF(2)-trace along direction β.
-func traceMap(beta uint64, q gf.Poly) gf.Poly {
-	// term starts as βx mod q.
-	term := gf.PolyMod(gf.Poly{0, beta}, q)
-	acc := term.Clone()
-	for i := 1; i < 64; i++ {
-		term = gf.PolySqrMod(term, q)
-		acc = gf.PolyAdd(acc, term)
-	}
-	return acc
 }

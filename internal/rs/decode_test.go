@@ -3,6 +3,7 @@ package rs
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -188,7 +189,7 @@ func TestBerlekampMasseyKnown(t *testing.T) {
 	// Λ(x) = 1 + αx (Λ(α⁻¹) = 1 + α·α⁻¹ = 0). Verify.
 	alpha := uint64(0x123456789)
 	s := sketchOf(3, []uint64{alpha})
-	loc := berlekampMassey(s)
+	loc := berlekampMassey(s, make([]uint64, 3*(len(s)+1)))
 	if loc.Deg() != 1 {
 		t.Fatalf("locator degree = %d, want 1", loc.Deg())
 	}
@@ -253,6 +254,111 @@ func TestFindRootsRejectsIrreducible(t *testing.T) {
 	}
 	if rejected == 0 || accepted == 0 {
 		t.Fatalf("degenerate sample: rejected=%d accepted=%d", rejected, accepted)
+	}
+}
+
+// findRootsReference is the per-factor Berlekamp trace splitter the
+// Frobenius-table findRoots replaced: for every basis element and every
+// pending factor q it recomputes Tr(βx) mod q by 63 squarings modulo q. It
+// is kept here as an independent oracle.
+func findRootsReference(p gf.Poly) ([]uint64, bool) {
+	p = gf.PolyMonic(p)
+	if p.Deg() < 1 || p[0] == 0 {
+		return nil, false
+	}
+	var roots []uint64
+	pending := []gf.Poly{p}
+	for basis := 0; basis < 64 && len(pending) > 0; basis++ {
+		beta := uint64(1) << uint(basis)
+		var next []gf.Poly
+		for _, q := range pending {
+			if q.Deg() == 1 {
+				roots = append(roots, gf.PolyMonic(q)[0])
+				continue
+			}
+			term := gf.PolyMod(gf.Poly{0, beta}, q)
+			tr := term.Clone()
+			for i := 1; i < 64; i++ {
+				term = gf.PolySqrMod(term, q)
+				tr = gf.PolyAdd(tr, term)
+			}
+			d := gf.PolyGCD(q, tr)
+			if d.Deg() <= 0 || d.Deg() >= q.Deg() {
+				next = append(next, q)
+				continue
+			}
+			next = append(next, d, gf.PolyMonic(gf.PolyDivExact(q, d)))
+		}
+		pending = next
+	}
+	for _, q := range pending {
+		if q.Deg() != 1 {
+			return nil, false
+		}
+		roots = append(roots, gf.PolyMonic(q)[0])
+	}
+	seen := make(map[uint64]bool, len(roots))
+	for _, r := range roots {
+		if r == 0 || seen[r] {
+			return nil, false
+		}
+		seen[r] = true
+	}
+	return roots, true
+}
+
+// productOfLinear returns Π (x + r) over roots.
+func productOfLinear(roots []uint64) gf.Poly {
+	p := gf.Poly{1}
+	for _, r := range roots {
+		p = gf.PolyMul(p, gf.Poly{r, 1})
+	}
+	return p
+}
+
+// TestFindRootsMatchesReference compares findRoots with the per-factor
+// reference splitter on split locators of every degree the serving
+// instance produces (up to K = 148), and on the three shapes of locator
+// both must reject: a repeated root, a zero root, and an irreducible
+// quadratic factor.
+func TestFindRootsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, deg := range []int{1, 2, 3, 8, 32, 74, 148} {
+		roots := randomIDs(rng, deg)
+		p := productOfLinear(roots)
+		got, ok := findRoots(p)
+		want, wantOK := findRootsReference(p)
+		if !ok || !wantOK {
+			t.Fatalf("t=%d: findRoots ok=%v, reference ok=%v", deg, ok, wantOK)
+		}
+		if !sameSet(got, want) || !sameSet(got, roots) {
+			t.Fatalf("t=%d: findRoots and reference disagree", deg)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1] >= got[i] {
+				t.Fatalf("t=%d: roots not sorted and distinct at %d", deg, i)
+			}
+		}
+	}
+
+	// x² + x + c is irreducible over GF(2^64) exactly when Tr(c) = 1.
+	c := rng.Uint64()
+	for fieldTrace(c) != 1 {
+		c = rng.Uint64()
+	}
+	base := randomIDs(rng, 5)
+	reject := map[string]gf.Poly{
+		"repeated root":         productOfLinear(append(slices.Clone(base), base[2])),
+		"root zero":             productOfLinear(append(slices.Clone(base), 0)),
+		"irreducible quadratic": gf.PolyMul(productOfLinear(base), gf.Poly{c, 1, 1}),
+	}
+	for name, p := range reject {
+		if roots, ok := findRoots(p); ok {
+			t.Errorf("%s: findRoots accepted, roots=%v", name, roots)
+		}
+		if roots, ok := findRootsReference(p); ok {
+			t.Errorf("%s: reference accepted, roots=%v", name, roots)
+		}
 	}
 }
 
