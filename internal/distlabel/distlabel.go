@@ -25,9 +25,10 @@ import (
 type Params struct {
 	// MaxFaults is the fault budget f.
 	MaxFaults int
-	// Kappa is the spanner stretch parameter κ ≥ 1 (stretch 2κ−1). Larger
-	// κ gives sparser per-scale graphs and smaller labels, at the cost of
-	// a wider bottleneck bracket.
+	// Kappa is the spanner stretch parameter κ ≥ 1 (stretch 2κ−1). The
+	// spanner keeps the same edges for every κ (see package spanner), so
+	// the labels do not depend on it; a larger κ only widens the
+	// bottleneck bracket a query reports.
 	Kappa int
 	// Kind forwards the FTC scheme variant (zero = deterministic).
 	Kind core.Kind

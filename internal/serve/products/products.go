@@ -13,11 +13,11 @@
 // Degraded mode: a fault set larger than the scheme's f budget cannot be
 // answered exactly (the labels only encode f-fault detectability), so the
 // View answers from the spanner H ⊆ G instead, built with the same budget
-// f and κ = 1. Soundness is one-sided: a path found in H − F is a real
-// path in G − F (H's edges are G's edges), so "connected"/"reachable" is
-// always correct; "disconnected" may be wrong when the fault set exceeds
-// what H's redundancy covers. Responses carry `"confidence": "approx"` so
-// callers can tell.
+// f (κ = 1; the kept set is the same for every κ). Soundness is one-sided:
+// a path found in H − F is a real path in G − F (H's edges are G's edges),
+// so "connected"/"reachable" is always correct; "disconnected" may be wrong
+// when the fault set exceeds what H's redundancy covers. Responses carry
+// `"confidence": "approx"` so callers can tell.
 package products
 
 import (
@@ -97,8 +97,8 @@ func (v *View) Net() *routing.Network {
 	return v.net
 }
 
-// Spanner returns the f-FT bottleneck spanner backing degraded mode
-// (building it on first use; κ = 1 keeps the guarantee tightest).
+// Spanner returns the f-FT bottleneck spanner backing degraded mode,
+// building it on first use.
 func (v *View) Spanner() (*spanner.Spanner, error) {
 	v.spanOnce.Do(func() {
 		v.span, v.spanErr = spanner.BuildFT(v.g, v.sch.MaxFaults(), 1)
@@ -146,37 +146,38 @@ func (v *View) forbiddenH(sp *spanner.Spanner, faultEdges []int) []bool {
 }
 
 // ApproxConnectedEdges answers s–t connectivity pairs under an over-budget
-// EDGE fault set from the spanner: BFS on H − F. Appends onto out.
+// EDGE fault set from the spanner: component labels of H − F. Appends onto
+// out.
 func (v *View) ApproxConnectedEdges(faultEdges []int, pairs [][2]int, out []bool) ([]bool, error) {
 	sp, err := v.Spanner()
 	if err != nil {
 		return nil, err
 	}
 	blocked := v.forbiddenH(sp, faultEdges)
+	c := getComponents(sp.H.N())
+	defer componentsPool.Put(c)
 	for _, p := range pairs {
-		out = append(out, bfsConnected(sp.H, blocked, nil, p[0], p[1]))
+		out = append(out, c.connected(sp.H, blocked, p[0], p[1]))
 	}
 	return out, nil
 }
 
 // ApproxConnectedVertices answers s–t connectivity pairs under an
-// over-budget VERTEX fault set from the spanner: BFS on H minus the failed
-// vertices. canonVerts must be sorted ascending. Appends onto out.
+// over-budget VERTEX fault set from the spanner: component labels of H
+// minus the failed vertices. A failed endpoint answers false. canonVerts
+// must be sorted ascending. Appends onto out.
 func (v *View) ApproxConnectedVertices(canonVerts []int, pairs [][2]int, out []bool) ([]bool, error) {
 	sp, err := v.Spanner()
 	if err != nil {
 		return nil, err
 	}
-	dead := make([]bool, v.g.N())
+	c := getComponents(sp.H.N())
+	defer componentsPool.Put(c)
 	for _, fv := range canonVerts {
-		dead[fv] = true
+		c.label[fv] = -1
 	}
 	for _, p := range pairs {
-		if dead[p[0]] || dead[p[1]] {
-			out = append(out, false)
-			continue
-		}
-		out = append(out, bfsConnected(sp.H, nil, dead, p[0], p[1]))
+		out = append(out, c.connected(sp.H, nil, p[0], p[1]))
 	}
 	return out, nil
 }
@@ -227,33 +228,52 @@ func (v *View) ApproxRoute(faultEdges []int, s, t int) ([]int, bool, error) {
 	return path, true, nil
 }
 
-// bfsConnected is plain BFS over h with blocked edges and/or dead vertices
-// (either may be nil). The degraded path allocates freely — it only runs
-// for over-budget fault sets, which are off the zero-alloc steady state by
-// definition.
-func bfsConnected(h *graph.Graph, blockedEdge []bool, dead []bool, s, t int) bool {
-	if s == t {
-		return true
+// components labels the components of H − F for one degraded request:
+// label[x] is 0 until x's component is visited, −1 for a failed vertex,
+// else the component's number. A request labels each component it touches
+// once and answers every pair by comparing labels. Pooled, so concurrent
+// requests never share one and the steady state allocates nothing for it.
+type components struct {
+	label []int32
+	queue []int32
+	next  int32
+}
+
+var componentsPool = sync.Pool{New: func() any { return new(components) }}
+
+// getComponents takes a cleared labeling for n vertices from the pool.
+func getComponents(n int) *components {
+	c := componentsPool.Get().(*components)
+	if cap(c.label) < n {
+		c.label = make([]int32, n)
+	} else {
+		c.label = c.label[:n]
+		clear(c.label)
 	}
-	visited := make([]bool, h.N())
-	visited[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, half := range h.Adj(cur) {
-			if blockedEdge != nil && blockedEdge[half.Edge] {
-				continue
+	c.next = 0
+	return c
+}
+
+// connected reports whether s and t lie in one component of h without the
+// blocked edges (nil blocks none) and the failed vertices, labeling s's
+// component first if no earlier pair did.
+func (c *components) connected(h *graph.Graph, blocked []bool, s, t int) bool {
+	if c.label[s] < 0 {
+		return false // a failed t is −1 and never matches a live s
+	}
+	if c.label[s] == 0 {
+		c.next++
+		c.label[s] = c.next
+		c.queue = append(c.queue[:0], int32(s))
+		for i := 0; i < len(c.queue); i++ {
+			for _, half := range h.Adj(int(c.queue[i])) {
+				if c.label[half.To] != 0 || (blocked != nil && blocked[half.Edge]) {
+					continue
+				}
+				c.label[half.To] = c.next
+				c.queue = append(c.queue, int32(half.To))
 			}
-			if visited[half.To] || (dead != nil && dead[half.To]) {
-				continue
-			}
-			if half.To == t {
-				return true
-			}
-			visited[half.To] = true
-			queue = append(queue, half.To)
 		}
 	}
-	return false
+	return c.label[s] == c.label[t]
 }

@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -161,4 +162,47 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := BuildFT(workload.Cycle(4), 1, 0); err == nil {
 		t.Fatal("kappa=0 accepted")
 	}
+}
+
+// TestKappaDoesNotChangeKeptSet pins what the package doc states: the scan
+// by nondecreasing weight means every H edge already weighs ≤ w ≤ (2κ−1)·w,
+// so κ never changes which edges are kept.
+func TestKappaDoesNotChangeKeptSet(t *testing.T) {
+	for name, g := range referenceGraphs() {
+		for _, f := range []int{0, 1, 3} {
+			base, err := BuildFT(g, f, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kappa := range []int{2, 3, 7} {
+				sp, err := BuildFT(g, f, kappa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(sp.OrigEdge, base.OrigEdge) {
+					t.Fatalf("%s f=%d: κ=%d keeps %d edges, κ=1 keeps %d", name, f, kappa, len(sp.OrigEdge), len(base.OrigEdge))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSpannerBuild times BuildFT on the instance of the serving
+// benchmark — ErdosRenyi n=1024 with mean degree 8, made connected — at
+// the daemon's degraded-mode parameters f=3, κ=1, and reports the number
+// of kept edges.
+func BenchmarkSpannerBuild(b *testing.B) {
+	const n, f = 1024, 3
+	g := workload.ErdosRenyi(n, 8/float64(n), true, rand.New(rand.NewSource(1)))
+	var kept int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp, err := BuildFT(g, f, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kept = sp.H.M()
+	}
+	b.ReportMetric(float64(kept), "kept-edges")
 }
